@@ -21,12 +21,14 @@ Scenarios cover qubit-only, qutrit-only and mixed-radix registers with
 GHZ, W, dense-random and sparse-random states.  Per scenario the
 harness times DD construction (the object-path vectorized kernel, the
 arena-backed kernel, and the two baselines), preparation verification
-(the fused level-batched kernel, the per-gate in-place kernel, and the
-two baselines — asserting the fused and in-place fidelities agree) and
-single-pass vs. separate diagram statistics.  ``--smoke`` additionally
-asserts two CI floors on the dense scenario: the arena build kernel
-holds >=1.3x over the object kernel, and the fused verify kernel holds
->=1.5x over the in-place kernel.
+(the segment kernel behind ``verify_preparation``, the per-gate
+in-place kernel, and the two baselines — asserting the two kernels'
+fidelities agree) and single-pass vs. separate diagram statistics.
+Verification is timed *cold*: each repeat synthesises a fresh circuit
+and times one call on it, with no warm-up, as a fresh request pays it.
+``--smoke`` additionally asserts two CI floors on the dense scenario:
+the arena build kernel holds >=1.3x over the object kernel, and the
+cold verify holds >=1.3x over the in-place kernel.
 
 Run::
 
@@ -65,6 +67,7 @@ from repro.linalg.rotations import (  # noqa: E402
     phase_two_level_matrix,
 )
 from repro.simulator.statevector_sim import (  # noqa: E402
+    simulate_inplace,
     simulate_reference,
 )
 from repro.states.fidelity import fidelity  # noqa: E402
@@ -295,6 +298,46 @@ def _best_of(callable_, repeats: int) -> float:
     return best
 
 
+def _best_of_cold(kernel, fresh_circuit, repeats: int) -> float:
+    """Minimum over ``repeats`` single calls, each on a new circuit.
+
+    The circuit is built outside the timed region; nothing runs on it
+    before the timed call, so any per-circuit setup a kernel needs is
+    inside the measurement.
+    """
+    best = math.inf
+    for _ in range(repeats):
+        circuit = fresh_circuit()
+        gc.collect()
+        gc.disable()
+        start = time.perf_counter()
+        kernel(circuit)
+        elapsed = time.perf_counter() - start
+        gc.enable()
+        best = min(best, elapsed)
+    return best
+
+
+def _count_segments(circuit) -> int:
+    """Maximal runs of gates sharing one ``(target, controls)`` pair."""
+    segments = 0
+    previous = None
+    for gate in circuit.gates:
+        if previous != (gate.target, gate.controls):
+            segments += 1
+            previous = (gate.target, gate.controls)
+    return segments
+
+
+def _inplace_verify(circuit, state: StateVector) -> float:
+    buffer = np.zeros(circuit.register.size, dtype=np.complex128)
+    buffer[0] = 1.0
+    simulate_inplace(circuit, buffer)
+    return fidelity(
+        state.normalized(), StateVector(buffer, circuit.register)
+    )
+
+
 def _round_speedup(baseline: float, new: float) -> float:
     return round(baseline / new, 2) if new > 0 else float("inf")
 
@@ -342,26 +385,23 @@ def run(smoke: bool, repeats: int) -> dict:
               f" | seed {seed_s * 1e3:8.2f} ms"
               f" ({build['speedup_vs_seed']:.2f}x)", flush=True)
 
-        result = prepare_state(state, verify=False)
-        circuit = result.circuit
-        # _best_of takes the min over repeats, so the fused column
-        # reflects the cached-plan replay (the one-off plan compile
-        # lands in the first repeat only, as it does in serving).
-        fused_s = _best_of(
-            lambda: verify_preparation(circuit, state, fused=True),
-            repeats,
+        def fresh_circuit():
+            return prepare_state(state, verify=False).circuit
+
+        circuit = fresh_circuit()
+        cold_s = _best_of_cold(
+            lambda qc: verify_preparation(qc, state),
+            fresh_circuit, repeats,
         )
-        inplace_s = _best_of(
-            lambda: verify_preparation(circuit, state, fused=False),
-            repeats,
+        inplace_s = _best_of_cold(
+            lambda qc: _inplace_verify(qc, state),
+            fresh_circuit, repeats,
         )
-        fused_fidelity = verify_preparation(circuit, state, fused=True)
-        inplace_fidelity = verify_preparation(
-            circuit, state, fused=False
-        )
-        assert round(fused_fidelity, 12) == round(inplace_fidelity, 12), (
-            f"fused/in-place fidelity mismatch on {name}: "
-            f"{fused_fidelity!r} vs {inplace_fidelity!r}"
+        cold_fidelity = verify_preparation(circuit, state)
+        inplace_fidelity = _inplace_verify(circuit, state)
+        assert abs(cold_fidelity - inplace_fidelity) <= 1e-12, (
+            f"segment/in-place fidelity mismatch on {name}: "
+            f"{cold_fidelity!r} vs {inplace_fidelity!r}"
         )
         ref_verify_s = _best_of(
             lambda: fidelity(
@@ -374,28 +414,30 @@ def run(smoke: bool, repeats: int) -> dict:
         )
         verify = {
             "operations": len(circuit.gates),
-            "fused_s": round(fused_s, 6),
+            "segments": _count_segments(circuit),
+            "cold_s": round(cold_s, 6),
             "inplace_s": round(inplace_s, 6),
             "reference_s": round(ref_verify_s, 6),
             "seed_s": round(seed_verify_s, 6),
-            "fused_speedup_vs_inplace": _round_speedup(
-                inplace_s, fused_s
+            "cold_speedup_vs_inplace": _round_speedup(
+                inplace_s, cold_s
             ),
-            "fused_speedup_vs_seed": _round_speedup(
-                seed_verify_s, fused_s
+            "cold_speedup_vs_seed": _round_speedup(
+                seed_verify_s, cold_s
             ),
             "speedup_vs_reference": _round_speedup(
                 ref_verify_s, inplace_s
             ),
             "speedup_vs_seed": _round_speedup(seed_verify_s, inplace_s),
         }
-        print(f"  verify: fused {fused_s * 1e3:7.2f} ms"
+        print(f"  verify ({verify['operations']} ops, "
+              f"{verify['segments']} segments): cold {cold_s * 1e3:7.2f} ms"
               f" | in-place {inplace_s * 1e3:7.2f} ms"
-              f" ({verify['fused_speedup_vs_inplace']:.2f}x)"
+              f" ({verify['cold_speedup_vs_inplace']:.2f}x)"
               f" | reference {ref_verify_s * 1e3:7.2f} ms"
               f" ({verify['speedup_vs_reference']:.2f}x)"
               f" | seed {seed_verify_s * 1e3:7.2f} ms"
-              f" ({verify['speedup_vs_seed']:.2f}x)", flush=True)
+              f" ({verify['cold_speedup_vs_seed']:.2f}x)", flush=True)
 
         single_pass_s = _best_of(
             lambda: diagram.collect_stats(), repeats
@@ -454,18 +496,18 @@ def run(smoke: bool, repeats: int) -> dict:
                 headline_row["verify"]["speedup_vs_seed"],
             "verify_speedup_vs_reference":
                 headline_row["verify"]["speedup_vs_reference"],
-            "fused_verify_speedup_vs_inplace":
-                headline_row["verify"]["fused_speedup_vs_inplace"],
-            "fused_verify_speedup_vs_seed":
-                headline_row["verify"]["fused_speedup_vs_seed"],
+            "cold_verify_speedup_vs_inplace":
+                headline_row["verify"]["cold_speedup_vs_inplace"],
+            "cold_verify_speedup_vs_seed":
+                headline_row["verify"]["cold_speedup_vs_seed"],
         },
         "scenarios": results,
     }
     if smoke:
         # CI floors on the dense scenario: the arena kernel must beat
-        # the object kernel by 1.3x, and the fused verify kernel must
-        # beat the per-gate in-place kernel by 1.5x, or the
-        # optimisations have regressed.
+        # the object kernel by 1.3x, and a cold verify must beat the
+        # per-gate in-place kernel by 1.3x, or the optimisations have
+        # regressed.
         arena_speedup = headline_row["build"][
             "arena_speedup_vs_vectorized"
         ]
@@ -473,12 +515,12 @@ def run(smoke: bool, repeats: int) -> dict:
             f"arena build regressed on {headline_name}: "
             f"{arena_speedup:.2f}x vs object (floor 1.3x)"
         )
-        fused_speedup = headline_row["verify"][
-            "fused_speedup_vs_inplace"
+        cold_speedup = headline_row["verify"][
+            "cold_speedup_vs_inplace"
         ]
-        assert fused_speedup >= 1.5, (
-            f"fused verify regressed on {headline_name}: "
-            f"{fused_speedup:.2f}x vs in-place (floor 1.5x)"
+        assert cold_speedup >= 1.3, (
+            f"cold verify regressed on {headline_name}: "
+            f"{cold_speedup:.2f}x vs in-place (floor 1.3x)"
         )
     return payload
 
@@ -521,9 +563,9 @@ def main(argv: list[str] | None = None) -> int:
         f"({headline['arena_build_speedup_vs_seed']:.2f}x vs seed), "
         f"verify {headline['verify_speedup_vs_seed']:.2f}x vs seed "
         f"({headline['verify_speedup_vs_reference']:.2f}x vs reference), "
-        f"fused verify "
-        f"{headline['fused_verify_speedup_vs_inplace']:.2f}x vs in-place "
-        f"({headline['fused_verify_speedup_vs_seed']:.2f}x vs seed)"
+        f"cold verify "
+        f"{headline['cold_verify_speedup_vs_inplace']:.2f}x vs in-place "
+        f"({headline['cold_verify_speedup_vs_seed']:.2f}x vs seed)"
     )
     print(f"wrote {output}")
     return 0

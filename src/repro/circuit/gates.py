@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,33 +36,6 @@ __all__ = [
 ]
 
 ControlsLike = Iterable[Control | tuple[int, int]] | None
-
-
-@lru_cache(maxsize=4096)
-def _cached_givens_matrix(
-    dimension: int, level_i: int, level_j: int, theta: float, phi: float
-) -> np.ndarray:
-    """Memoised, read-only Givens matrix.
-
-    Synthesised circuits apply the same handful of rotation angles
-    thousands of times; building the local matrix once per distinct
-    ``(dimension, levels, angles)`` keeps :meth:`Gate.matrix` off the
-    simulation hot path.  The array is frozen so every caller can
-    safely share it.
-    """
-    matrix = givens_matrix(dimension, level_i, level_j, theta, phi)
-    matrix.setflags(write=False)
-    return matrix
-
-
-@lru_cache(maxsize=4096)
-def _cached_phase_matrix(
-    dimension: int, level_i: int, level_j: int, delta: float
-) -> np.ndarray:
-    """Memoised, read-only two-level phase matrix (see above)."""
-    matrix = phase_two_level_matrix(dimension, level_i, level_j, delta)
-    matrix.setflags(write=False)
-    return matrix
 
 
 def _check_level_pair(level_i: int, level_j: int) -> None:
@@ -108,7 +80,7 @@ class GivensRotation(Gate):
             )
 
     def _local_matrix(self, dimension: int) -> np.ndarray:
-        return _cached_givens_matrix(
+        return givens_matrix(
             dimension, self.level_i, self.level_j, self.theta, self.phi
         )
 
@@ -166,7 +138,7 @@ class PhaseRotation(Gate):
             )
 
     def _local_matrix(self, dimension: int) -> np.ndarray:
-        return _cached_phase_matrix(
+        return phase_two_level_matrix(
             dimension, self.level_i, self.level_j, self.delta
         )
 

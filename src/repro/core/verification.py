@@ -1,14 +1,12 @@
 """Verification of synthesised circuits against target states.
 
 Verification is the one dense simulation every exact pipeline run
-pays, so it executes through the fused, level-batched kernel of
-:mod:`repro.simulator.fused_sim` by default: the circuit compiles once
-into a :class:`~repro.simulator.fused_sim.FusionPlan` (memoised in the
-process-wide plan cache, shared with the gate-matrix memo across
-engine batches) and replays as a handful of batched ``matmul`` calls.
-Non-fusable circuits — and every call when ``REPRO_FUSED_VERIFY=0``
-or ``fused=False`` — run the per-gate in-place kernel instead, whose
-results the fused path matches within rounding (``~1e-15``).
+pays.  It executes through
+:func:`~repro.simulator.statevector_sim.run_segments_inplace`, which
+multiplies each per-node rotation ladder into one local matrix and
+applies it once, with no compile step and no state kept between
+calls.  Its results match the per-gate in-place kernel within
+rounding (``~1e-16``).
 """
 
 from __future__ import annotations
@@ -18,68 +16,23 @@ import numpy as np
 from repro.circuit.circuit import Circuit
 from repro.states.fidelity import fidelity
 from repro.states.statevector import StateVector
-from repro.simulator.fused_sim import (
-    FusionPlanCache,
-    default_fused_verify,
-    run_fused_inplace,
-)
-from repro.simulator.statevector_sim import (
-    GateMatrixCache,
-    simulate_inplace,
-)
+from repro.simulator.statevector_sim import run_segments_inplace
 
 __all__ = ["verify_preparation", "prepared_state"]
 
 
-def prepared_state(
-    circuit: Circuit,
-    matrix_cache: GateMatrixCache | None = None,
-    *,
-    fused: bool | None = None,
-    plan_cache: FusionPlanCache | None = None,
-) -> StateVector:
-    """Simulate the circuit on ``|0...0>`` and return the result.
-
-    Runs the fused kernel (per-gate kernel for non-fusable circuits)
-    on one locally owned buffer.
-
-    Args:
-        circuit: The preparation circuit.
-        matrix_cache: Shared gate-matrix memo; the process-wide one
-            when ``None``.  Pass a dedicated cache to isolate a batch.
-        fused: Force the fused (``True``) or per-gate (``False``)
-            kernel; ``None`` follows the process default
-            (:func:`~repro.simulator.fused_sim.default_fused_verify`).
-        plan_cache: Fusion-plan memo; the process-wide one when
-            ``None``.
-    """
+def prepared_state(circuit: Circuit) -> StateVector:
+    """Simulate the circuit on ``|0...0>`` and return the result."""
     buffer = np.zeros(circuit.register.size, dtype=np.complex128)
     buffer[0] = 1.0
-    if fused is None:
-        fused = default_fused_verify()
-    if not (
-        fused
-        and run_fused_inplace(circuit, buffer, plan_cache, matrix_cache)
-    ):
-        simulate_inplace(circuit, buffer, matrix_cache)
+    run_segments_inplace(circuit, buffer)
     return StateVector(buffer, circuit.register)
 
 
-def verify_preparation(
-    circuit: Circuit,
-    target: StateVector,
-    matrix_cache: GateMatrixCache | None = None,
-    *,
-    fused: bool | None = None,
-    plan_cache: FusionPlanCache | None = None,
-) -> float:
+def verify_preparation(circuit: Circuit, target: StateVector) -> float:
     """Return ``|<target|circuit(0...0)>|^2``.
 
     The target is normalised before comparison, so callers may pass
-    unnormalised amplitude vectors.  Keyword arguments are forwarded
-    to :func:`prepared_state`.
+    unnormalised amplitude vectors.
     """
-    produced = prepared_state(
-        circuit, matrix_cache, fused=fused, plan_cache=plan_cache
-    )
-    return fidelity(target.normalized(), produced)
+    return fidelity(target.normalized(), prepared_state(circuit))

@@ -6,9 +6,8 @@ Small registers are checked exactly through the dense unitary; larger
 ones are probed with random states (a sound Monte-Carlo check: random
 complex-Gaussian states distinguish distinct unitaries with
 probability 1).  Probe runs go through :func:`simulate`, so they
-execute on the fused, level-batched kernel by default (per-gate for
-non-fusable circuits or under ``REPRO_FUSED_VERIFY=0``); the
-comparison tolerance dwarfs the kernels' rounding difference.
+execute on the segment kernel; the comparison tolerance dwarfs its
+rounding difference from the per-gate kernel.
 """
 
 from __future__ import annotations

@@ -5,19 +5,21 @@ axis per qudit, slicing out the control-satisfying subspace, and
 contracting the target axis with the gate's local matrix.  Cost is
 ``O(prod(dims) * d_target)`` per gate.
 
-Two execution paths are provided:
+Three execution paths are provided:
 
-* :func:`simulate` / :func:`apply_gate` — the immutable API.  Inputs
-  are never mutated; :func:`simulate` allocates one private working
-  buffer for the whole circuit and delegates to the in-place kernel,
-  so cost per gate is one subspace-sized temporary instead of the
-  seed's two full-state copies (``tensor.copy()`` plus the
-  :class:`StateVector` constructor's validating copy).
+* :func:`run_segments_inplace` — the verification kernel behind
+  :func:`simulate`, :func:`repro.core.verification.prepared_state` and
+  the pipeline's ``VerifyPass``.  Synthesised circuits emit one ladder
+  of two-level rotations per decision-diagram node, all under one
+  ``(target, controls)`` pair; the kernel multiplies each such run
+  into one ``d x d`` matrix straight from the gate parameters and
+  applies it once.  It needs no compile step and keeps no state
+  between calls, so a fresh circuit costs the same as a repeated one.
 * :func:`apply_gate_inplace` / :func:`simulate_inplace` — the
-  zero-copy kernel.  The caller owns the buffer; gate matrices are
-  memoised per ``(gate identity, dimension)`` in a
-  :class:`GateMatrixCache` so parameterised rotations are built once
-  per circuit, not once per application.
+  per-gate zero-copy kernel.  The caller owns the buffer; gate
+  matrices are memoised per ``(gate identity, dimension)`` in a
+  per-call :class:`GateMatrixCache`.  Kept as the test oracle of the
+  segment kernel.
 * :func:`simulate_reference` — the seed's per-gate-copy loop, kept as
   the executable baseline the benchmark-trajectory harness
   (``benchmarks/bench_hotpaths.py``) and the equivalence tests measure
@@ -27,6 +29,7 @@ Two execution paths are provided:
 from __future__ import annotations
 
 import cmath
+import math
 import threading
 from collections import OrderedDict
 
@@ -34,6 +37,7 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate
+from repro.circuit.gates import GivensRotation, PhaseRotation
 from repro.exceptions import SimulationError
 from repro.states.statevector import StateVector
 
@@ -41,6 +45,7 @@ __all__ = [
     "GateMatrixCache",
     "apply_gate",
     "apply_gate_inplace",
+    "run_segments_inplace",
     "simulate",
     "simulate_inplace",
     "simulate_reference",
@@ -57,12 +62,10 @@ class GateMatrixCache:
     read-only before being handed out; the simulation kernels never
     write to them.
 
-    The memo is a bounded LRU: one cache instance is shared across
-    engine batches in long-running ``serve`` processes (see
-    :func:`repro.simulator.fused_sim.shared_matrix_cache`), so without
-    a cap an adversarial stream of distinct rotation angles would grow
-    it without limit.  The generous default never evicts in one-shot
-    use.  Thread-safe — concurrent batches share one instance.
+    :func:`simulate_inplace` makes one cache per call unless the
+    caller passes its own; a caller that shares one across circuits
+    gets a bounded LRU (the generous default never evicts within one
+    circuit).  Thread-safe.
 
     Args:
         maxsize: Entry cap; least-recently-used matrices are evicted
@@ -145,9 +148,9 @@ def apply_gate_inplace(
         if control.qudit < gate.target:
             axis -= 1
     subspace = tensor[tuple(index)]
-    moved = (
-        subspace if axis == 0 else np.moveaxis(subspace, axis, 0)
-    )
+    # Any view with the target axis first will do, since the result is
+    # written back through the same view; swapaxes is a cheap C call.
+    moved = subspace if axis == 0 else subspace.swapaxes(0, axis)
     dimension = moved.shape[0]
     # reshape copies when ``moved`` is a non-contiguous view; the copy
     # is subspace-sized, and the matmul runs straight into BLAS
@@ -202,6 +205,93 @@ def simulate_inplace(
     return amplitudes
 
 
+def run_segments_inplace(
+    circuit: Circuit, amplitudes: np.ndarray
+) -> np.ndarray:
+    """Run a circuit on a caller-owned buffer, one matrix per segment.
+
+    A segment is a maximal run of consecutive gates sharing one
+    ``(target, controls)`` pair.  Its ``d x d`` product is built in
+    plain Python from the gate parameters, with no memo:
+    a :class:`GivensRotation` updates two rows of the running matrix,
+    a :class:`PhaseRotation` scales two rows, and any other gate
+    multiplies its :meth:`~repro.circuit.gate.Gate.matrix` in.  Each
+    segment is then applied once with :func:`apply_gate_inplace`.
+    Results match :func:`simulate_inplace` within rounding.
+
+    Args:
+        circuit: The circuit to execute (its global phase is applied).
+        amplitudes: Writable, C-contiguous complex128 vector of size
+            ``circuit.register.size``; mutated to the output state.
+
+    Returns:
+        The same ``amplitudes`` array, for chaining.
+
+    Raises:
+        SimulationError: If the buffer shape does not match the
+            register.
+    """
+    dims = circuit.dims
+    if amplitudes.shape != (circuit.register.size,):
+        raise SimulationError(
+            f"buffer of shape {amplitudes.shape} cannot hold a state "
+            f"over dims {dims}"
+        )
+    circuit.ensure_validated()
+    tensor = amplitudes.reshape(dims)
+    # Segment updates replace whole rows and never write into one, so
+    # a segment can start from a shallow copy of a shared identity.
+    identities = {
+        d: [[complex(r == c) for c in range(d)] for r in range(d)]
+        for d in set(dims)
+    }
+    head: Gate | None = None  # first gate of the open segment
+    target, controls = -1, None
+    rows: list[list[complex]] = []
+    for gate in circuit.gates:
+        if gate.target != target or gate.controls != controls:
+            if head is not None:
+                apply_gate_inplace(
+                    tensor, head, np.array(rows, dtype=np.complex128)
+                )
+            head, target, controls = gate, gate.target, gate.controls
+            dimension = dims[target]
+            rows = list(identities[dimension])
+        kind = gate.__class__
+        if kind is GivensRotation:
+            # Rows i, j of R_{i,j}(theta, phi) @ m, with the 2x2 block
+            # of repro.linalg.rotations.givens_block.
+            half = gate.theta / 2.0
+            cos, sin = math.cos(half), math.sin(half)
+            phase = cmath.exp(1j * gate.phi)
+            upper = -1j * phase.conjugate() * sin
+            lower = -1j * phase * sin
+            row_i, row_j = rows[gate.level_i], rows[gate.level_j]
+            rows[gate.level_i] = [
+                cos * x + upper * y for x, y in zip(row_i, row_j)
+            ]
+            rows[gate.level_j] = [
+                lower * x + cos * y for x, y in zip(row_i, row_j)
+            ]
+        elif kind is PhaseRotation:
+            phase = cmath.exp(-0.5j * gate.delta)
+            rows[gate.level_i] = [phase * x for x in rows[gate.level_i]]
+            phase = phase.conjugate()
+            rows[gate.level_j] = [phase * x for x in rows[gate.level_j]]
+        else:
+            rows = (
+                gate.matrix(dimension)
+                @ np.array(rows, dtype=np.complex128)
+            ).tolist()
+    if head is not None:
+        apply_gate_inplace(
+            tensor, head, np.array(rows, dtype=np.complex128)
+        )
+    if circuit.global_phase:
+        amplitudes *= cmath.exp(1j * circuit.global_phase)
+    return amplitudes
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one (possibly multi-controlled) gate to a state.
 
@@ -221,33 +311,21 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 def simulate(
     circuit: Circuit,
     initial: StateVector | None = None,
-    *,
-    fused: bool | None = None,
 ) -> StateVector:
     """Run a circuit on an initial state (default ``|0...0>``).
 
     The circuit's global phase is applied to the result.  The
-    immutable contract is kept by running an in-place kernel on one
-    private copy of the initial amplitudes.
+    immutable contract is kept by running
+    :func:`run_segments_inplace` on one private copy of the initial
+    amplitudes.
 
     Args:
         circuit: The circuit to execute.
         initial: Input state; ``|0...0>`` when ``None``.
-        fused: Execute through the fused, level-batched kernel of
-            :mod:`repro.simulator.fused_sim` (identical results within
-            rounding; non-fusable circuits fall back automatically).
-            ``None`` follows the process default
-            (:func:`~repro.simulator.fused_sim.default_fused_verify`,
-            i.e. fused unless ``REPRO_FUSED_VERIFY=0``); pass
-            ``False`` to force the per-gate kernel, whose results are
-            bit-for-bit those of :func:`simulate_inplace`.
 
     Raises:
         SimulationError: If the initial state's register mismatches.
     """
-    # Local import: fused_sim imports this module for GateMatrixCache.
-    from repro.simulator import fused_sim
-
     if initial is None:
         buffer = np.zeros(circuit.register.size, dtype=np.complex128)
         buffer[0] = 1.0
@@ -260,10 +338,7 @@ def simulate(
         buffer = np.array(
             initial.amplitudes, dtype=np.complex128, copy=True
         )
-    if fused is None:
-        fused = fused_sim.default_fused_verify()
-    if not (fused and fused_sim.run_fused_inplace(circuit, buffer)):
-        simulate_inplace(circuit, buffer)
+    run_segments_inplace(circuit, buffer)
     return StateVector(buffer, circuit.register)
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.engine import (
+    content_key,
     job_from_dict,
     jobs_from_spec,
     load_batch_spec,
@@ -81,6 +82,20 @@ class TestJobFromDict:
             jobs_from_spec(
                 {"jobs": [{"family": "ghz", "dims": [2, 2]}, {}]}
             )
+
+
+    def test_content_key_ignores_kernel_switches(self, monkeypatch):
+        # A switch that only picks an implementation must not split
+        # the key space, or a front end and its shards would route and
+        # cache one wire job under different keys.
+        def key() -> str:
+            job = job_from_dict({"family": "ghz", "dims": [2, 2]})
+            return content_key(job.resolve_state(), job.options)
+
+        monkeypatch.delenv("REPRO_FUSED_VERIFY", raising=False)
+        plain = key()
+        monkeypatch.setenv("REPRO_FUSED_VERIFY", "0")
+        assert key() == plain
 
 
 class TestJobsFromSpec:
